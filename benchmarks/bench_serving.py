@@ -184,32 +184,16 @@ def _tune_allocator() -> None:
         pass  # non-glibc platform: run with the default allocator
 
 
-def _summarize(report) -> Dict[str, float]:
-    """The statistics a capacity planner reads off a serving run."""
-    if hasattr(report, "summary"):  # vectorized: one fused call
-        return report.summary(PERCENTILES)
-    summary = {f"p{round(fraction * 100)}": report.latency_percentile(fraction)
-               for fraction in PERCENTILES}
-    summary["utilization"] = report.utilization
-    summary["mean_queue_delay_s"] = report.mean_queue_delay
-    summary["makespan_s"] = report.makespan
-    summary["throughput_tokens_per_s"] = report.throughput_tokens_per_s
-    return summary
-
-
 def _time_runs(simulator: ServingSimulator, requests, arrivals,
                vectorized: bool, reps: int,
                scenario=None) -> Dict[str, object]:
     times: List[float] = []
     report = None
     summary: Dict[str, float] = {}
-    # ``streaming=False`` pins the vectorized report to exact sorted
-    # percentiles (the loop report knows nothing else), so the
-    # bit-identity comparison below covers the percentile path too.
-    # The degraded *loop* rejects the argument outright (it always
-    # materializes), so that engine runs with the default.
-    streaming = (None if scenario is not None and not vectorized
-                 else False)
+    # ``streaming=False`` pins every engine's report to exact sorted
+    # percentiles, so the bit-identity comparison below covers the
+    # percentile path too.
+    streaming = False
     # One untimed warm-up run per engine first: both engines measure
     # steady state (allocator, page cache, estimator caches), matching
     # how BENCH_estimator gates the warm fast path.
@@ -221,71 +205,31 @@ def _time_runs(simulator: ServingSimulator, requests, arrivals,
         report = simulator.run(requests, arrivals, scenario=scenario,
                                vectorized=vectorized,
                                streaming=streaming)
-        summary = _summarize(report)
+        summary = report.summary(PERCENTILES)
         times.append(time.perf_counter() - start)
     return {"times_s": times, "mean_s": statistics.mean(times),
             "cold_s": times[0], "report": report, "summary": summary}
 
 
-def _extract_timeline(loop) -> None:
-    """Pull the loop timeline into arrays and free the object report.
-
-    The loop report pins ~1M ``ServedRequest`` objects (hundreds of
-    MB); keeping them alive while the vectorized engine is timed
-    fragments the heap and measurably slows the array path.  The
-    comparison only needs the start/finish columns, so grab those and
-    release the objects before the vectorized phase begins.
-    """
-    loop_report = loop.pop("report")
-    loop["starts"] = np.fromiter(
-        (served.start for served in loop_report.served),
-        dtype=np.float64)
-    loop["finishes"] = np.fromiter(
-        (served.finish for served in loop_report.served),
-        dtype=np.float64)
-    del loop_report
-    gc.collect()
-
-
 def _bit_identical(loop, vectorized) -> bool:
     """Timelines and statistics must agree to the last bit."""
-    vec_report = vectorized["report"]
+    loop_report, vec_report = loop["report"], vectorized["report"]
     return (loop["summary"] == vectorized["summary"]
-            and np.array_equal(loop["starts"], vec_report.starts)
-            and np.array_equal(loop["finishes"], vec_report.finishes))
-
-
-def _extract_degraded(loop) -> None:
-    """The degraded twin of :func:`_extract_timeline`: additionally
-    pulls the served/dropped substream indices and the fault-reaction
-    counters before the object report is released."""
-    loop_report = loop.pop("report")
-    loop["starts"] = np.fromiter(
-        (served.start for served in loop_report.served),
-        dtype=np.float64)
-    loop["finishes"] = np.fromiter(
-        (served.finish for served in loop_report.served),
-        dtype=np.float64)
-    loop["served_index"] = np.asarray(loop_report.served_index,
-                                      dtype=np.int64)
-    loop["dropped_index"] = np.asarray(loop_report.dropped_index,
-                                       dtype=np.int64)
-    loop["stats"] = loop_report.stats.as_dict()
-    del loop_report
-    gc.collect()
+            and np.array_equal(loop_report.starts, vec_report.starts)
+            and np.array_equal(loop_report.finishes,
+                               vec_report.finishes))
 
 
 def _bit_identical_degraded(loop, vectorized) -> bool:
     """Timelines, substreams, FaultStats, and summaries — all exact."""
-    vec_report = vectorized["report"]
-    return (loop["summary"] == vectorized["summary"]
-            and np.array_equal(loop["starts"], vec_report.starts)
-            and np.array_equal(loop["finishes"], vec_report.finishes)
-            and np.array_equal(loop["served_index"],
+    loop_report, vec_report = loop["report"], vectorized["report"]
+    return (_bit_identical(loop, vectorized)
+            and np.array_equal(loop_report.served_index,
                                vec_report.served_index)
-            and np.array_equal(loop["dropped_index"],
+            and np.array_equal(loop_report.dropped_index,
                                vec_report.dropped_index)
-            and loop["stats"] == vec_report.stats.as_dict())
+            and loop_report.stats.as_dict()
+            == vec_report.stats.as_dict())
 
 
 def _time_timeseries(vectorized, reps: int) -> Dict[str, object]:
@@ -448,16 +392,11 @@ def _time_scheduler(estimator, n_requests: int,
         estimator, SchedulerConfig.fifo_degenerate()).run(requests,
                                                           arrivals)
     degenerate_identical = (
-        _summarize(degenerate) == fifo_summary
-        and np.array_equal(
-            np.fromiter((record.start for record in degenerate.served),
-                        dtype=np.float64), fifo_report.starts)
-        and np.array_equal(
-            np.fromiter((record.finish
-                         for record in degenerate.served),
-                        dtype=np.float64), fifo_report.finishes))
+        degenerate.summary(PERCENTILES) == fifo_summary
+        and np.array_equal(degenerate.starts, fifo_report.starts)
+        and np.array_equal(degenerate.finishes, fifo_report.finishes))
 
-    summary = _summarize(report)
+    summary = report.summary(PERCENTILES)
     ratio = (summary["throughput_tokens_per_s"]
              / fifo_summary["throughput_tokens_per_s"])
     mean_s = statistics.mean(times)
@@ -503,8 +442,7 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
     arrival_array = np.asarray(arrivals, dtype=np.float64)
 
     loop = _time_runs(simulator, requests, arrivals, False, reps)
-    _extract_timeline(loop)
-    del requests  # same reason: a million objects off the heap
+    del requests  # a million list slots off the heap
     gc.collect()
     vectorized = _time_runs(simulator, workload, arrival_array, True,
                             reps)
@@ -519,7 +457,6 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
     requests = workload.to_requests()  # untimed re-materialization
     degraded_loop = _time_runs(simulator, requests, arrivals, False,
                                reps, scenario=scenario)
-    _extract_degraded(degraded_loop)
     del requests
     gc.collect()
     degraded_vec = _time_runs(simulator, workload, arrival_array, True,

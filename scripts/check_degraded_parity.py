@@ -77,24 +77,17 @@ def _mismatches(label: str, loop, vec) -> List[str]:
         if not ok:
             problems.append(f"{label}: {surface} diverged")
 
-    check("arrivals", vec.arrivals.tolist()
-          == [r.arrival for r in loop.served])
-    check("starts", vec.starts.tolist()
-          == [r.start for r in loop.served])
-    check("finishes", vec.finishes.tolist()
-          == [r.finish for r in loop.served])
-    check("served_index", vec.served_index.tolist()
-          == list(loop.served_index))
-    check("dropped_index", vec.dropped_index.tolist()
-          == list(loop.dropped_index))
-    check("drop reasons", [d.reason for d in vec.dropped]
-          == [d.reason for d in loop.dropped])
+    for column in ("arrivals", "starts", "finishes", "served_index",
+                   "dropped_index"):
+        check(column, np.array_equal(getattr(vec, column),
+                                     getattr(loop, column)))
+    check("drop reasons", vec.dropped_reasons == loop.dropped_reasons)
     check("fault stats", vec.stats.as_dict() == loop.stats.as_dict())
     check("drop_rate", vec.drop_rate == loop.drop_rate)
     check("makespan", vec.makespan == loop.makespan)
     check("mean_queue_delay",
           vec.mean_queue_delay == loop.mean_queue_delay)
-    if loop.served:
+    if loop.n_served:
         check("utilization", vec.utilization == loop.utilization)
         for fraction in (0.5, 0.95, 0.99, 1.0):
             check(f"p{int(fraction * 100)}",

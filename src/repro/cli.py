@@ -532,7 +532,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                                            rate_per_s=args.rate,
                                            seed=args.seed)
             metadata["makespan_s"] = report.makespan
-            print(f"served {len(report.served)} requests in "
+            print(f"served {report.n_served} requests in "
                   f"{report.makespan:.3f} s "
                   f"(utilization {report.utilization:.1%})")
         else:  # schedule
@@ -612,15 +612,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     name = scenario.name if scenario is not None else "(fault-free)"
     print(f"{spec.name} on {system.name}, scenario {name}: "
-          f"{len(report.served)}/{args.requests} served")
-    if report.served:
+          f"{report.n_served}/{args.requests} served")
+    if report.n_served:
         print(f"  p50 latency  : {report.latency_percentile(0.50):.3f} s")
         print(f"  p95 latency  : {report.latency_percentile(0.95):.3f} s")
         print(f"  p99 latency  : {report.latency_percentile(0.99):.3f} s")
         print(f"  makespan     : {report.makespan:.3f} s "
               f"(utilization {report.utilization:.1%})")
-    dropped = getattr(report, "dropped", [])
-    stats = getattr(report, "stats", None)
+    dropped = report.dropped
+    stats = report.stats
     if stats is not None:
         print(f"  dropped      : {len(dropped)} "
               f"({report.drop_rate:.1%} of offered)")
@@ -632,7 +632,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.out:
         metadata = {"mode": "faults", "model": spec.name,
                     "system": system.name, "scenario": name,
-                    "served": len(report.served),
+                    "served": report.n_served,
                     "dropped": len(dropped)}
         trace_path = write_chrome_trace(args.out,
                                         telemetry.tracer.spans,
@@ -664,7 +664,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             "percentiles": ({"p50": report.latency_percentile(0.50),
                              "p95": report.latency_percentile(0.95),
                              "p99": report.latency_percentile(0.99)}
-                            if report.served else None),
+                            if report.n_served else None),
             "fault_stats": stats.as_dict() if stats is not None else None,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -726,7 +726,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                        seed=args.seed,
                                        streaming=streaming)
 
-    mode = "streaming" if args.streaming else "exact"
+    streamed = report.merged.streaming_percentiles
+    mode = "streaming" if streamed else "exact"
     print(f"served {report.n_served:,} requests on {n_replicas} "
           f"replica(s), {args.dispatch} dispatch "
           f"({mode} percentiles)")
@@ -753,7 +754,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "model": spec.name, "system": system.name,
             "num_requests": args.num_requests, "rate_per_s": args.rate,
             "seed": args.seed, "replicas": n_replicas,
-            "dispatch": args.dispatch, "streaming": bool(args.streaming),
+            "dispatch": args.dispatch, "streaming": streamed,
             "shapes": [[request.batch_size, request.input_len,
                         request.output_len] for request in shapes],
             "slo_p95_s": args.slo_p95 or None,
@@ -785,8 +786,8 @@ def _serve_continuous(args: argparse.Namespace, spec, system, config,
             "it with --scheduler continuous")
     if args.streaming:
         raise ConfigurationError(
-            "--streaming applies to the vectorized FIFO engine; the "
-            "continuous scheduler materializes its report")
+            "--streaming applies to the FIFO engines; the continuous "
+            "scheduler's percentiles are always exact")
 
     kv_capacities = None
     if (args.kv_hbm_gb > 0.0 or args.kv_ddr_gb > 0.0
@@ -808,7 +809,7 @@ def _serve_continuous(args: argparse.Namespace, spec, system, config,
 
     mode = ("fifo-degenerate"
             if scheduler_config.is_fifo_degenerate else args.join)
-    print(f"served {len(report.served):,} requests on "
+    print(f"served {report.n_served:,} requests on "
           f"{args.replicas} replica(s), continuous batching "
           f"(max batch {args.max_batch}, join {mode})")
     p50 = report.latency_percentile(0.50)
@@ -1145,7 +1146,7 @@ def _fleet_continuous(args: argparse.Namespace, spec, system,
     usd_per_hour = CostModel(system).usd_per_hour()
 
     print(f"fleet {args.preset}: {spec.name} on {system.name}, "
-          f"trace {trace_spec.name} ({len(report.served):,} "
+          f"trace {trace_spec.name} ({report.n_served:,} "
           f"requests), chaos {chaos.name} (idle), continuous "
           f"batching x{n_replicas} replica(s)")
     p50 = report.latency_percentile(0.50)
@@ -1171,8 +1172,8 @@ def _fleet_continuous(args: argparse.Namespace, spec, system,
             "system": system.name, "trace": trace_spec.name,
             "scheduler": "continuous", "chaos": chaos.name,
             "n_replicas_initial": n_replicas,
-            "n_offered": len(report.served),
-            "n_served": len(report.served), "n_dropped": 0,
+            "n_offered": report.n_served,
+            "n_served": report.n_served, "n_dropped": 0,
             "availability": 1.0,
             "p50_s": p50, "p95_s": p95,
             "makespan_s": report.makespan,

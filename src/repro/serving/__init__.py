@@ -8,13 +8,17 @@ needs the two wrappers this package provides:
   driven) inference.
 * :mod:`repro.serving.simulator` — replay an online arrival trace
   through a FIFO-queued single-system server, reporting latency
-  percentiles and utilization.
+  percentiles and utilization in a :class:`ServingReport`: timeline
+  columns plus an optional drop channel (shed requests, fault
+  counters, scenario).  Every single-server engine below returns
+  this one report; the continuous scheduler's subtype only adds its
+  batching fields, and the fleet engines wrap it.
 * :mod:`repro.serving.planner` — pick the cheapest system that meets
   a latency SLO for a workload (the §7.6/§7.8 decision problem as an
   API).
 * :mod:`repro.serving.vectorized` — the million-request array
-  engine: exact Lindley-recursion timelines, columnar workloads, and
-  array-backed reports, bit-identical to the loop path.
+  engine: exact Lindley-recursion timelines over columnar workloads,
+  bit-identical to the loop path.
 * :mod:`repro.serving.piecewise` — the same contract under fault
   scenarios: piecewise-Lindley segments over the fault regimes,
   bit-identical to the degraded reference loop.
@@ -33,8 +37,7 @@ needs the two wrappers this package provides:
 
 from repro.serving.batcher import Batch, pack_requests
 from repro.serving.degradation import (DegradedServingReport,
-                                       DroppedRequest, FaultStats,
-                                       run_degraded)
+                                       FaultStats, run_degraded)
 from repro.serving.fleet import (AutoscalerPolicy, ChaosStats,
                                  FleetPreset, FleetReport,
                                  FleetSimulator, builtin_fleet_presets,
@@ -51,9 +54,9 @@ from repro.serving.scheduler import (MIXED_SHAPES,
                                      ContinuousServingReport,
                                      SchedulerConfig, StepProfile,
                                      run_continuous_fleet)
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, arrivals_poisson,
-                                     validate_arrivals)
+from repro.serving.simulator import (DroppedRequest, ServedRequest,
+                                     ServingReport, ServingSimulator,
+                                     arrivals_poisson, validate_arrivals)
 from repro.serving.vectorized import (VectorizedServingReport,
                                       WorkloadVector, lindley_timeline,
                                       run_vectorized)

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.cache import cached_estimate
 from repro.core.estimator import LiaEstimator
@@ -40,10 +42,9 @@ from repro.experiments.runner import run_sweep
 from repro.faults.injector import FaultInjector, FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, validate_arrivals)
-from repro.telemetry.bridge import (serving_report_to_metrics,
-                                    serving_report_to_spans)
+from repro.serving.simulator import (ServingReport, ServingSimulator,
+                                     emit_report_telemetry,
+                                     validate_arrivals)
 from repro.telemetry.runtime import Telemetry
 
 
@@ -65,20 +66,7 @@ class FaultStats:
     degraded_requests: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "deferred": self.deferred,
-            "dropped": self.dropped,
-            "transfer_stalls": self.transfer_stalls,
-            "transfer_retries": self.transfer_retries,
-            "transfer_failures": self.transfer_failures,
-            "policy_resolves": self.policy_resolves,
-            "policy_shifts": self.policy_shifts,
-            "batch_shrinks": self.batch_shrinks,
-            "unservable": self.unservable,
-            "backoff_seconds": self.backoff_seconds,
-            "stall_seconds": self.stall_seconds,
-            "degraded_requests": self.degraded_requests,
-        }
+        return asdict(self)
 
     @property
     def total_faults(self) -> int:
@@ -88,66 +76,8 @@ class FaultStats:
                 + self.unservable)
 
 
-@dataclass(frozen=True)
-class DroppedRequest:
-    """A request shed by admission control or unservable under faults."""
-
-    request: InferenceRequest
-    arrival: float
-    reason: str
-
-
-@dataclass
-class DegradedServingReport(ServingReport):
-    """A :class:`ServingReport` plus the degradation record."""
-
-    scenario_name: str = ""
-    dropped: List[DroppedRequest] = field(default_factory=list)
-    stats: FaultStats = field(default_factory=FaultStats)
-    #: The injected scenario itself; its event windows let SLO
-    #: monitors attribute alerts to specific faults (vs organic load).
-    scenario: Optional[FaultScenario] = None
-    #: Positions of ``served`` / ``dropped`` in the offered stream —
-    #: the multi-replica merge needs them to interleave substreams
-    #: back into global arrival order.
-    served_index: List[int] = field(default_factory=list)
-    dropped_index: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Unlike the base report, a fully-shed run is a legal (if
-        # grim) outcome: every request is accounted for in ``dropped``.
-        if not self.served and not self.dropped:
-            raise ConfigurationError("report needs at least one request")
-
-    def monitor(self, policy, **kwargs):
-        """Evaluate an SLO policy over this run, fault-attributed.
-
-        Convenience wrapper for
-        :func:`repro.telemetry.timeseries.monitor_report`; every
-        alert overlapping one of this report's fault windows is
-        attributed to that :class:`~repro.faults.spec.FaultEvent`.
-        """
-        from repro.telemetry.timeseries import monitor_report
-
-        return monitor_report(self, policy, **kwargs)
-
-    @property
-    def makespan(self) -> float:
-        return max((r.finish for r in self.served), default=0.0)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if not self.served:
-            return 0.0
-        return super().mean_queue_delay
-
-    @property
-    def n_offered(self) -> int:
-        return len(self.served) + len(self.dropped)
-
-    @property
-    def drop_rate(self) -> float:
-        return len(self.dropped) / self.n_offered if self.n_offered else 0.0
+#: The old name of the one report, kept importable.
+DegradedServingReport = ServingReport
 
 
 @dataclass(frozen=True)
@@ -199,6 +129,23 @@ class DegradationController:
         if self.telemetry is not None:
             self.telemetry.tracer.add_span(name, "faults", start,
                                            finish, **args)
+
+    def warm_base_plans(self,
+                        shapes: Sequence[InferenceRequest]) -> None:
+        """Pre-estimate ``shapes`` through the sweep runner, in input
+        order: parallel workers change wall-clock time, never a
+        result bit."""
+        estimator = self.simulator.estimator
+        try:
+            for shape, estimate in zip(
+                    shapes,
+                    run_sweep(lambda r: cached_estimate(estimator, r),
+                              shapes)):
+                self._base_plans[shape] = self._fault_free_plan(estimate)
+        except CapacityError:
+            # Oversized shapes surface per request at plan time,
+            # exactly where the fault-free path raises them.
+            pass
 
     # ------------------------------------------------------------------
     # Admission control
@@ -253,14 +200,15 @@ class DegradationController:
     def _base_plan(self, request: InferenceRequest) -> _ServicePlan:
         plan = self._base_plans.get(request)
         if plan is None:
-            estimate = cached_estimate(self.simulator.estimator,
-                                       request)
-            plan = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=self._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
+            plan = self._fault_free_plan(cached_estimate(
+                self.simulator.estimator, request))
             self._base_plans[request] = plan
         return plan
+
+    def _fault_free_plan(self, estimate) -> _ServicePlan:
+        return _ServicePlan(latency=estimate.latency,
+                            n_chunks=self._chunks(estimate), shrinks=0,
+                            resolved=False, policy_shifted=False)
 
     def _chunks(self, estimate) -> int:
         if self.scenario.chunks_per_request > 0:
@@ -420,7 +368,8 @@ def run_degraded(simulator: ServingSimulator,
                  arrivals: Sequence[float],
                  scenario: FaultScenario,
                  indices: Optional[Sequence[int]] = None,
-                 quiet: bool = False) -> DegradedServingReport:
+                 quiet: bool = False,
+                 streaming: Optional[bool] = None) -> ServingReport:
     """Serve ``requests`` through the FIFO server under ``scenario``.
 
     The loop mirrors :meth:`ServingSimulator.run` exactly — same
@@ -439,90 +388,66 @@ def run_degraded(simulator: ServingSimulator,
     positions so RNG keying (and span naming) stays engine- and
     replica-invariant.  ``quiet=True`` suppresses all telemetry (the
     fleet path emits one merged view instead of per-replica rows).
+    ``streaming=True`` makes the report's percentiles streaming; by
+    default they are exact.
     """
+    from repro.serving.vectorized import WorkloadVector
+
     if len(requests) != len(arrivals):
         raise ConfigurationError(
             "requests and arrivals must have equal length")
-    validate_arrivals(arrivals)
+    trace = validate_arrivals(arrivals)
     if indices is not None and len(indices) != len(requests):
         raise ConfigurationError(
             "indices and requests must have equal length")
     telemetry = None if quiet else simulator._active_telemetry()
     controller = DegradationController(simulator, scenario, telemetry)
 
-    # Warm the base-plan memo in deterministic input order; parallel
-    # workers only change wall-clock time, never a result bit.
-    distinct: List[InferenceRequest] = []
-    seen = set()
-    for request in requests:
-        if request not in seen:
-            seen.add(request)
-            distinct.append(request)
-    try:
-        estimator = simulator.estimator
-        for request, estimate in zip(
-                distinct,
-                run_sweep(lambda r: cached_estimate(estimator, r),
-                          distinct)):
-            controller._base_plans[request] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=controller._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-    except CapacityError:
-        # Oversized shapes surface per-request below, exactly where
-        # the fault-free path would raise them.
-        pass
+    workload = WorkloadVector.from_requests(requests)
+    controller.warm_base_plans(workload.shapes)
 
-    served: List[ServedRequest] = []
-    dropped: List[DroppedRequest] = []
     served_index: List[int] = []
-    dropped_index: List[int] = []
+    starts: List[float] = []
     finishes: List[float] = []
+    dropped_index: List[int] = []
+    reasons: List[str] = []
     free_at = 0.0
     for position, (request, arrival) in enumerate(zip(requests,
-                                                      arrivals)):
+                                                      trace.tolist())):
         index = (position if indices is None
                  else int(indices[position]))
         effective = controller.admit(arrival, index, finishes)
         if effective is None:
-            dropped.append(DroppedRequest(
-                request=request, arrival=arrival,
-                reason="shed by admission control"))
             dropped_index.append(position)
+            reasons.append("shed by admission control")
             continue
         start = max(effective, free_at)
         plan = controller.plan_service(request, start, index)
         if plan is None:
-            dropped.append(DroppedRequest(
-                request=request, arrival=arrival,
-                reason="does not fit the degraded platform at B=1"))
             dropped_index.append(position)
+            reasons.append("does not fit the degraded platform at B=1")
             continue
         penalty = controller.transfer_penalty(start, index,
                                               plan.n_chunks)
         if plan.resolved or penalty > 0.0:
             controller.stats.degraded_requests += 1
         finish = start + plan.latency + penalty
-        served.append(ServedRequest(request=request, arrival=arrival,
-                                    start=start, finish=finish))
         served_index.append(position)
+        starts.append(start)
         finishes.append(finish)
         free_at = finish
 
-    report = DegradedServingReport(
-        served=served, scenario_name=scenario.name, dropped=dropped,
-        stats=controller.stats, scenario=scenario,
-        served_index=served_index, dropped_index=dropped_index)
+    report = ServingReport(
+        workload, trace,
+        np.array(starts, dtype=np.float64),
+        np.array(finishes, dtype=np.float64), streaming=bool(streaming),
+        served_index=np.array(served_index, dtype=np.int64),
+        dropped_index=np.array(dropped_index, dtype=np.int64),
+        dropped_reasons=reasons, scenario=scenario,
+        stats=controller.stats)
     if telemetry is not None:
-        serving_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name)
-        for span in serving_report_to_spans(report):
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
+        emit_report_telemetry(report, telemetry, simulator.estimator)
         telemetry.metrics.gauge(
             "faults.dropped_requests",
-            scenario=scenario.name).set(len(dropped))
+            scenario=scenario.name).set(len(dropped_index))
     return report

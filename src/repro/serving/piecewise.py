@@ -62,13 +62,12 @@ from repro.core.cache import STALL_OUTCOME_CACHE, pinned_token
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.degradation import (DegradationController,
-                                       DroppedRequest, FaultStats,
-                                       _ServicePlan)
-from repro.serving.simulator import ServingSimulator, validate_arrivals
-from repro.serving.vectorized import (DEFAULT_SPAN_CAP,
-                                      VectorizedServingReport,
-                                      WorkloadVector, lindley_timeline)
+from repro.serving.degradation import DegradationController, _ServicePlan
+from repro.serving.simulator import (ServingReport, ServingSimulator,
+                                     emit_report_telemetry,
+                                     validate_arrivals)
+from repro.serving.vectorized import (DEFAULT_SPAN_CAP, WorkloadVector,
+                                      lindley_timeline)
 
 #: Speculative block size inside finite segments.  Commits are exact,
 #: so the cap only bounds wasted work when backlog pushes starts past
@@ -249,138 +248,13 @@ class _PlanTable:
         return controller._resolve_plan(shape, signature, time)
 
 
-# ----------------------------------------------------------------------
-# The array-backed degraded report
-# ----------------------------------------------------------------------
-class VectorizedDegradedReport(VectorizedServingReport):
-    """A :class:`DegradedServingReport` over arrays.
-
-    ``workload``/``arrivals``/``starts``/``finishes`` cover the
-    *served* substream; the offered stream, drop records, and
-    ``FaultStats`` ride alongside.  Scalar statistics fold in the
-    loop report's float order, so every field is bit-comparable with
-    the reference loop's report.
-    """
-
-    _allow_empty = True  # a fully-shed run is a legal (if grim) outcome
-
-    def __init__(self, offered: WorkloadVector,
-                 offered_arrivals: np.ndarray,
-                 served_index: np.ndarray, starts: np.ndarray,
-                 finishes: np.ndarray, dropped_index: np.ndarray,
-                 dropped_reasons: Sequence[str],
-                 scenario: FaultScenario, stats: FaultStats,
-                 streaming: Optional[bool] = None) -> None:
-        if dropped_index.size != len(dropped_reasons):
-            raise ConfigurationError(
-                "dropped_index and dropped_reasons must have equal "
-                "length")
-        super().__init__(offered.subset(served_index),
-                         offered_arrivals[served_index], starts,
-                         finishes, streaming=streaming)
-        self.offered = offered
-        self.offered_arrivals = offered_arrivals
-        self.served_index = served_index
-        self.dropped_index = dropped_index
-        self.dropped_reasons = tuple(dropped_reasons)
-        self.scenario = scenario
-        self.scenario_name = scenario.name
-        self.stats = stats
-        self._dropped: Optional[List[DroppedRequest]] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n_offered(self) -> int:
-        return self.n_served + int(self.dropped_index.size)
-
-    @property
-    def drop_rate(self) -> float:
-        offered = self.n_offered
-        return self.dropped_index.size / offered if offered else 0.0
-
-    @property
-    def dropped_arrivals(self) -> np.ndarray:
-        """Arrival timestamps of the dropped substream (for windowed
-        time-series without materializing drop objects)."""
-        return self.offered_arrivals[self.dropped_index]
-
-    @property
-    def dropped(self) -> List[DroppedRequest]:
-        if self._dropped is None:
-            shapes = self.offered.shapes
-            codes = self.offered.codes[self.dropped_index].tolist()
-            arrivals = self.dropped_arrivals.tolist()
-            self._dropped = [
-                DroppedRequest(request=shapes[code], arrival=arrival,
-                               reason=reason)
-                for code, arrival, reason in zip(
-                    codes, arrivals, self.dropped_reasons)]
-        return self._dropped
-
-    # Empty-served guards mirror DegradedServingReport's overrides.
-    @property
-    def makespan(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().makespan
-
-    @property
-    def utilization(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().utilization
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().mean_queue_delay
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().throughput_tokens_per_s
-
-    def monitor(self, policy, **kwargs):
-        """Evaluate an SLO policy over this run, fault-attributed
-        (see :meth:`DegradedServingReport.monitor`)."""
-        from repro.telemetry.timeseries import monitor_report
-
-        return monitor_report(self, policy, **kwargs)
+#: The old name of the one report, kept importable.
+VectorizedDegradedReport = ServingReport
 
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def _warm_base_plans(controller: DegradationController,
-                     workload: WorkloadVector) -> None:
-    """Pre-estimate every present shape through the sweep runner —
-    the same warm-up ``run_degraded`` performs, so parallel workers
-    change wall-clock only."""
-    from repro.core.cache import cached_estimate
-    from repro.errors import CapacityError
-    from repro.experiments.runner import run_sweep
-
-    counts = workload.counts()
-    present = [shape for shape, count
-               in zip(workload.shapes, counts.tolist()) if count]
-    try:
-        estimator = controller.simulator.estimator
-        for shape, estimate in zip(
-                present,
-                run_sweep(lambda r: cached_estimate(estimator, r),
-                          present)):
-            controller._base_plans[shape] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=controller._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-    except CapacityError:
-        # Oversized shapes surface per shape at plan time, exactly
-        # where the loop raises them.
-        pass
-
-
 def run_degraded_vectorized(simulator: ServingSimulator,
                             workload: WorkloadVector,
                             arrivals: Sequence[float],
@@ -389,7 +263,7 @@ def run_degraded_vectorized(simulator: ServingSimulator,
                             span_cap: int = DEFAULT_SPAN_CAP,
                             indices: Optional[Sequence[int]] = None,
                             quiet: bool = False
-                            ) -> VectorizedDegradedReport:
+                            ) -> ServingReport:
     """Serve ``workload`` under ``scenario`` through the piecewise
     engine — bit-identical to
     :func:`repro.serving.degradation.run_degraded` on the same inputs
@@ -412,7 +286,10 @@ def run_degraded_vectorized(simulator: ServingSimulator,
                 "indices and requests must have equal length")
     telemetry = None if quiet else simulator._active_telemetry()
     controller = DegradationController(simulator, scenario, telemetry)
-    _warm_base_plans(controller, workload)
+    # Shapes the stream never uses are not estimated, like the loop.
+    controller.warm_base_plans(
+        [shape for shape, count
+         in zip(workload.shapes, workload.counts().tolist()) if count])
 
     if scenario.admission.enabled:
         served_index, starts, finishes, dropped_index, reasons = (
@@ -421,36 +298,15 @@ def run_degraded_vectorized(simulator: ServingSimulator,
         served_index, starts, finishes, dropped_index, reasons = (
             _run_piecewise(controller, workload, trace, idx))
 
-    report = VectorizedDegradedReport(
-        offered=workload, offered_arrivals=trace,
-        served_index=served_index, starts=starts, finishes=finishes,
-        dropped_index=dropped_index, dropped_reasons=reasons,
-        scenario=scenario, stats=controller.stats,
-        streaming=streaming)
+    report = ServingReport(
+        workload, trace, starts, finishes, streaming=streaming,
+        served_index=served_index, dropped_index=dropped_index,
+        dropped_reasons=reasons, scenario=scenario,
+        stats=controller.stats)
     if telemetry is not None:
-        from repro.telemetry.bridge import (
-            note_dropped_spans, vectorized_report_to_metrics,
-            vectorized_report_to_spans)
-
-        vectorized_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name)
-        spans, dropped_spans = vectorized_report_to_spans(report,
-                                                          cap=span_cap)
-        for span in spans:
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
-        if dropped_spans:
-            telemetry.metrics.counter(
-                "serving.spans_dropped",
-                system=simulator.estimator.system.name,
-                model=simulator.estimator.spec.name).inc(dropped_spans)
-            note_dropped_spans(telemetry, dropped_spans,
-                               report.n_served,
-                               component="serving.piecewise",
-                               cap=span_cap)
+        emit_report_telemetry(report, telemetry, simulator.estimator,
+                              span_cap=span_cap,
+                              component="serving.piecewise")
         telemetry.metrics.gauge(
             "faults.dropped_requests",
             scenario=scenario.name).set(int(dropped_index.size))

@@ -21,7 +21,7 @@ p95 SLO — the paper-faithful "how many A100 boxes do I need" sweep.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,18 +29,16 @@ import numpy as np
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServingSimulator, arrivals_poisson,
-                                     validate_arrivals)
-from repro.serving.vectorized import (DEFAULT_SPAN_CAP,
-                                      VectorizedServingReport,
-                                      WorkloadVector, lindley_timeline,
-                                      shape_services)
+from repro.serving.simulator import (DroppedRequest, ServingReport,
+                                     ServingSimulator, _left_sum,
+                                     arrivals_poisson, validate_arrivals)
+from repro.serving.vectorized import (DEFAULT_SPAN_CAP, WorkloadVector,
+                                      lindley_timeline, shape_services)
 from repro.telemetry.runtime import Telemetry
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
     from repro.serving.degradation import FaultStats
-    from repro.serving.piecewise import VectorizedDegradedReport
 
 DISPATCH_POLICIES = ("round-robin", "least-loaded")
 
@@ -53,16 +51,26 @@ class ScaleOutReport:
     latency percentiles, queue delays, and throughput read exactly
     like a single-server report.  ``utilization`` is normalized by
     the fleet size (busy replica-seconds over ``k * makespan``).
+
+    Under a fault scenario ``merged`` carries the drop channel: its
+    served/dropped substreams interleave the replica timelines back
+    into global arrival order, so percentiles and queue delays pool
+    over every served request.  ``stats`` then folds the per-replica
+    :class:`FaultStats` in replica-id order (integer counters sum;
+    the two float accumulators add in that fixed order so the fold is
+    engine-invariant), and ``scenario`` is the injected scenario.
     """
 
-    merged: VectorizedServingReport
-    per_replica: Tuple[VectorizedServingReport, ...]
+    merged: ServingReport
+    per_replica: Tuple[ServingReport, ...]
     #: The replica id behind each ``per_replica`` entry (replicas
     #: that served nothing — possible when k > n — are omitted).
     replica_ids: Tuple[int, ...]
     assignment: np.ndarray
     dispatch: str
     n_replicas: int
+    stats: Optional["FaultStats"] = None
+    scenario: Optional["FaultScenario"] = None
 
     @property
     def n_served(self) -> int:
@@ -89,38 +97,14 @@ class ScaleOutReport:
 
     @property
     def utilization(self) -> float:
-        busy = float(np.add.accumulate(
-            self.merged.service_times)[-1])
+        busy = _left_sum(self.merged.service_times)
         makespan = self.makespan
         return (busy / (self.n_replicas * makespan)
                 if makespan else 0.0)
 
-
-@dataclass
-class DegradedScaleOutReport(ScaleOutReport):
-    """A fleet run under a fault scenario.
-
-    ``merged`` is a
-    :class:`~repro.serving.piecewise.VectorizedDegradedReport` whose
-    served/dropped substreams interleave the replica timelines back
-    into global arrival order, so percentiles and queue delays pool
-    over every served request exactly like the single-server report.
-    ``stats`` folds the per-replica :class:`FaultStats` in replica-id
-    order (integer counters sum; the two float accumulators add in
-    that fixed order so the fold is engine-invariant).
-    """
-
-    stats: "FaultStats" = None  # type: ignore[assignment]
-    scenario: "FaultScenario" = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.stats is None or self.scenario is None:
-            raise ConfigurationError(
-                "a degraded fleet report needs stats and scenario")
-
     @property
     def scenario_name(self) -> str:
-        return self.scenario.name
+        return self.merged.scenario_name
 
     @property
     def n_offered(self) -> int:
@@ -135,8 +119,12 @@ class DegradedScaleOutReport(ScaleOutReport):
         return self.merged.drop_rate
 
     @property
-    def dropped(self):
+    def dropped(self) -> List[DroppedRequest]:
         return self.merged.dropped
+
+
+#: The old name of the one fleet report, kept importable.
+DegradedScaleOutReport = ScaleOutReport
 
 
 def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
@@ -145,42 +133,10 @@ def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
 
     merged = FaultStats()
     for stats in per_replica_stats:
-        merged.deferred += stats.deferred
-        merged.dropped += stats.dropped
-        merged.transfer_stalls += stats.transfer_stalls
-        merged.transfer_retries += stats.transfer_retries
-        merged.transfer_failures += stats.transfer_failures
-        merged.policy_resolves += stats.policy_resolves
-        merged.policy_shifts += stats.policy_shifts
-        merged.batch_shrinks += stats.batch_shrinks
-        merged.unservable += stats.unservable
-        merged.backoff_seconds += stats.backoff_seconds
-        merged.stall_seconds += stats.stall_seconds
-        merged.degraded_requests += stats.degraded_requests
+        for counter in fields(FaultStats):
+            setattr(merged, counter.name, getattr(merged, counter.name)
+                    + getattr(stats, counter.name))
     return merged
-
-
-def _loop_report_to_vectorized(workload: WorkloadVector,
-                               trace: np.ndarray, report,
-                               scenario: "FaultScenario"
-                               ) -> "VectorizedDegradedReport":
-    """Re-express one replica's loop-engine report over arrays so the
-    fleet merge is engine-agnostic (the arrays carry the loop's exact
-    floats — no recomputation)."""
-    from repro.serving.piecewise import VectorizedDegradedReport
-
-    starts = np.array([s.start for s in report.served],
-                      dtype=np.float64)
-    finishes = np.array([s.finish for s in report.served],
-                        dtype=np.float64)
-    return VectorizedDegradedReport(
-        offered=workload, offered_arrivals=trace,
-        served_index=np.asarray(report.served_index, dtype=np.int64),
-        starts=starts, finishes=finishes,
-        dropped_index=np.asarray(report.dropped_index,
-                                 dtype=np.int64),
-        dropped_reasons=tuple(d.reason for d in report.dropped),
-        scenario=scenario, stats=report.stats)
 
 
 class MultiReplicaSimulator:
@@ -214,7 +170,8 @@ class MultiReplicaSimulator:
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous) and returns a :class:`DegradedScaleOutReport`.
+        ambiguous); the report then carries the drop channel and the
+        folded :class:`FaultStats`.
         ``vectorized`` picks the per-replica engine under a scenario:
         the piecewise-Lindley engine by default, the reference loop
         with ``vectorized=False`` (bit-identical by contract).
@@ -258,8 +215,8 @@ class MultiReplicaSimulator:
         else:
             assignment = self._assign_least_loaded(
                 trace, services, starts, finishes)
-        merged = VectorizedServingReport(workload, trace, starts,
-                                         finishes, streaming=streaming)
+        merged = ServingReport(workload, trace, starts, finishes,
+                               streaming=streaming)
         per_replica = []
         replica_ids = []
         for replica in range(self.n_replicas):
@@ -267,7 +224,7 @@ class MultiReplicaSimulator:
             if index.size == 0:
                 continue
             replica_ids.append(replica)
-            per_replica.append(VectorizedServingReport(
+            per_replica.append(ServingReport(
                 workload.subset(index), trace[index], starts[index],
                 finishes[index], streaming=streaming))
         report = ScaleOutReport(merged=merged,
@@ -286,10 +243,7 @@ class MultiReplicaSimulator:
                     streaming: Optional[bool] = None,
                     scenario: Optional["FaultScenario"] = None,
                     vectorized: Optional[bool] = None) -> ScaleOutReport:
-        n_requests = (requests.n_requests
-                      if isinstance(requests, WorkloadVector)
-                      else len(requests))
-        arrivals = arrivals_poisson(n_requests, rate_per_s, seed=seed)
+        arrivals = arrivals_poisson(len(requests), rate_per_s, seed=seed)
         return self.run(requests, arrivals, streaming=streaming,
                         scenario=scenario, vectorized=vectorized)
 
@@ -298,7 +252,7 @@ class MultiReplicaSimulator:
                       scenario: "FaultScenario",
                       streaming: Optional[bool],
                       vectorized: Optional[bool]
-                      ) -> DegradedScaleOutReport:
+                      ) -> ScaleOutReport:
         """Round-robin fleet dispatch under the fault layer.
 
         Each replica serves its substream with *global* request
@@ -309,8 +263,7 @@ class MultiReplicaSimulator:
         is emitted at the end.
         """
         from repro.serving.degradation import run_degraded
-        from repro.serving.piecewise import (VectorizedDegradedReport,
-                                             run_degraded_vectorized)
+        from repro.serving.piecewise import run_degraded_vectorized
 
         if self.dispatch != "round-robin":
             raise ConfigurationError(
@@ -318,17 +271,11 @@ class MultiReplicaSimulator:
                 "least-loaded assignment depends on every earlier "
                 "finish, which admission shedding makes "
                 "dispatch-order ambiguous")
-        use_loop = vectorized is False
-        if use_loop and streaming is not None:
-            raise ConfigurationError(
-                "streaming= requires the vectorized engine; the "
-                "degraded loop materializes its report (pass "
-                "vectorized=True or leave streaming=None)")
         telemetry = self._simulator._active_telemetry()
         n = trace.size
         assignment = np.arange(n, dtype=np.int64) % self.n_replicas
         replica_ids: List[int] = []
-        per_replica: List[VectorizedDegradedReport] = []
+        per_replica: List[ServingReport] = []
         served_parts: List[np.ndarray] = []
         start_parts: List[np.ndarray] = []
         finish_parts: List[np.ndarray] = []
@@ -340,13 +287,11 @@ class MultiReplicaSimulator:
                 continue
             sub_workload = workload.subset(index)
             sub_trace = trace[index]
-            if use_loop:
-                loop_report = run_degraded(
+            if vectorized is False:
+                sub = run_degraded(
                     self._simulator, sub_workload.to_requests(),
-                    sub_trace.tolist(), scenario,
-                    indices=index.tolist(), quiet=True)
-                sub = _loop_report_to_vectorized(
-                    sub_workload, sub_trace, loop_report, scenario)
+                    sub_trace, scenario, indices=index.tolist(),
+                    quiet=True, streaming=streaming)
             else:
                 sub = run_degraded_vectorized(
                     self._simulator, sub_workload, sub_trace,
@@ -366,16 +311,15 @@ class MultiReplicaSimulator:
         dropped_order = np.argsort(dropped_global, kind="stable")
         reasons_flat = [reason for part in reason_parts
                         for reason in part]
-        merged = VectorizedDegradedReport(
-            offered=workload, offered_arrivals=trace,
+        merged = ServingReport(
+            workload, trace, np.concatenate(start_parts)[order],
+            np.concatenate(finish_parts)[order], streaming=streaming,
             served_index=served_global[order],
-            starts=np.concatenate(start_parts)[order],
-            finishes=np.concatenate(finish_parts)[order],
             dropped_index=dropped_global[dropped_order],
             dropped_reasons=tuple(reasons_flat[i]
                                   for i in dropped_order.tolist()),
-            scenario=scenario, stats=stats, streaming=streaming)
-        report = DegradedScaleOutReport(
+            scenario=scenario, stats=stats)
+        report = ScaleOutReport(
             merged=merged, per_replica=tuple(per_replica),
             replica_ids=tuple(replica_ids), assignment=assignment,
             dispatch=self.dispatch, n_replicas=self.n_replicas,
@@ -434,14 +378,12 @@ class MultiReplicaSimulator:
                     sub_report.utilization)
         spans, dropped = vectorized_report_to_spans(report.merged)
         assignment = report.assignment.tolist()
-        # Span names index the *served* substream; under a scenario
-        # the merged report maps those back to offered positions.
-        served_index = getattr(report.merged, "served_index", None)
+        # Span names index the *served* substream; the merged report
+        # maps those back to offered positions.
+        served_index = report.merged.served_index
         for span in spans:
             index = int(span.name[len("request["):-1])
-            position = (index if served_index is None
-                        else int(served_index[index]))
-            track = (f"{span.track}[{assignment[position]}]")
+            track = f"{span.track}[{assignment[served_index[index]]}]"
             telemetry.tracer.add_span(span.name, track, span.start,
                                       span.finish, **span.args)
         if dropped:

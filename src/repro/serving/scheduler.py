@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -51,8 +51,9 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     arrivals_poisson, validate_arrivals)
+from repro.serving.simulator import (ServingReport, _left_sum,
+                                     arrivals_poisson, fifo_timeline,
+                                     validate_arrivals)
 from repro.telemetry.bridge import note_dropped_spans
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
@@ -305,30 +306,39 @@ class _ActiveRequest:
         return self.steps_done >= self.request.output_len
 
 
-@dataclass
 class ContinuousServingReport(ServingReport):
     """A :class:`ServingReport` plus iteration-level evidence.
 
-    ``served`` carries the same per-request timelines, so every
-    inherited statistic (percentiles, utilization, throughput, queue
-    delay) is computed by the exact FIFO-report code — the degenerate
-    config's bit-identity contract rides on that.
+    The timeline columns are the base report's, so every inherited
+    statistic (percentiles, throughput, queue delay) is computed by
+    the one report code — the degenerate config's bit-identity
+    contract rides on that.  Percentiles are always exact.
     """
 
-    iterations: int = 0
-    admissions: int = 0
-    #: Decode-busy-time-weighted mean of running-batch size.
-    occupancy_mean: float = 0.0
-    occupancy_peak: int = 0
-    policy_resolves: int = 0
-    kv_peak_bytes: Dict[str, float] = field(default_factory=dict)
-    kv_demotions: int = 0
-    kv_demoted_bytes: float = 0.0
-    #: Seconds the server spent prefilling or decoding.  Under
-    #: concurrency the FIFO formula (summed per-request service over
-    #: makespan) exceeds 1 by the batching factor; this is the real
-    #: busy integral.
-    server_busy_s: float = 0.0
+    def __init__(self, workload: "WorkloadVector", arrivals: np.ndarray,
+                 starts: np.ndarray, finishes: np.ndarray, *,
+                 iterations: int = 0, admissions: int = 0,
+                 occupancy_mean: float = 0.0, occupancy_peak: int = 0,
+                 policy_resolves: int = 0,
+                 kv_peak_bytes: Optional[Dict[str, float]] = None,
+                 kv_demotions: int = 0, kv_demoted_bytes: float = 0.0,
+                 server_busy_s: float = 0.0) -> None:
+        super().__init__(workload, arrivals, starts, finishes,
+                         streaming=False)
+        self.iterations = iterations
+        self.admissions = admissions
+        #: Decode-busy-time-weighted mean of running-batch size.
+        self.occupancy_mean = occupancy_mean
+        self.occupancy_peak = occupancy_peak
+        self.policy_resolves = policy_resolves
+        self.kv_peak_bytes = dict(kv_peak_bytes or {})
+        self.kv_demotions = kv_demotions
+        self.kv_demoted_bytes = kv_demoted_bytes
+        #: Seconds the server spent prefilling or decoding.  Under
+        #: concurrency the FIFO formula (summed per-request service
+        #: over makespan) exceeds 1 by the batching factor; this is
+        #: the real busy integral.
+        self.server_busy_s = server_busy_s
 
     @property
     def utilization(self) -> float:
@@ -345,10 +355,8 @@ class ContinuousServingReport(ServingReport):
     def fingerprint(self) -> bytes:
         """Byte-exact digest of the served timelines (determinism
         checks hash this across reps and worker counts)."""
-        timeline = np.asarray(
-            [(r.arrival, r.start, r.finish) for r in self.served],
-            dtype=np.float64)
-        return timeline.tobytes()
+        return np.column_stack((self.arrivals, self.starts,
+                                self.finishes)).tobytes()
 
 
 class ContinuousBatchScheduler:
@@ -433,37 +441,27 @@ class ContinuousBatchScheduler:
 
         With one uninterrupted request per batch, the iteration loop's
         step sum telescopes to the whole-request estimate, so this
-        branch replays the FIFO loop's float operations *exactly* —
-        same ``max``, same memoized service latency, same
-        ``start + service`` — and the report is bit-identical to
-        :meth:`ServingSimulator.run` by construction.
+        branch runs the FIFO loop's own timeline code and the report
+        is bit-identical to :meth:`ServingSimulator.run` by
+        construction.
         """
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        latency_by_shape: Dict[InferenceRequest, float] = {}
-        telemetry = self._active_telemetry()
-        for request, arrival in zip(requests, arrivals):
-            start = max(arrival, free_at)
-            service = latency_by_shape.get(request)
-            if service is None:
-                service = self.estimator.estimate(request).latency
-                latency_by_shape[request] = service
-            finish = start + service
-            served.append(ServedRequest(request=request,
-                                        arrival=arrival, start=start,
-                                        finish=finish))
-            free_at = finish
-        busy = sum(r.service_time for r in served)
+        from repro.serving.vectorized import WorkloadVector
+
+        starts, finishes = fifo_timeline(self.estimator, requests,
+                                         arrivals)
+        busy = _left_sum(finishes - starts)
         report = ContinuousServingReport(
-            served,
-            iterations=len(served),
-            admissions=len(served),
+            WorkloadVector.from_requests(requests),
+            np.array(arrivals, dtype=np.float64), starts, finishes,
+            iterations=len(requests),
+            admissions=len(requests),
             occupancy_mean=1.0 if busy > 0.0 else 0.0,
             occupancy_peak=1,
             policy_resolves=0,
             kv_peak_bytes={tier: 0.0 for tier in KV_TIERS},
             server_busy_s=busy,
         )
+        telemetry = self._active_telemetry()
         if telemetry is not None:
             self._emit_telemetry(telemetry, report, span_rows=[])
         return report
@@ -488,8 +486,8 @@ class ContinuousBatchScheduler:
             for i, (request, arrival)
             in enumerate(zip(requests, arrivals)))
         running: List[_ActiveRequest] = []
-        served_by_index: List[Optional[ServedRequest]] = (
-            [None] * len(requests))
+        starts = [0.0] * len(requests)
+        finishes = [0.0] * len(requests)
 
         clock = 0.0
         iterations = 0
@@ -602,14 +600,16 @@ class ContinuousBatchScheduler:
                            if not entry.done]
                 for entry in finished:
                     residency.release(entry.index)
-                    served_by_index[entry.index] = ServedRequest(
-                        request=entry.request, arrival=entry.arrival,
-                        start=entry.start, finish=clock)
+                    starts[entry.index] = entry.start
+                    finishes[entry.index] = clock
 
-        served = [record for record in served_by_index
-                  if record is not None]
+        from repro.serving.vectorized import WorkloadVector
+
         report = ContinuousServingReport(
-            served,
+            WorkloadVector.from_requests(requests),
+            np.array(arrivals, dtype=np.float64),
+            np.array(starts, dtype=np.float64),
+            np.array(finishes, dtype=np.float64),
             iterations=iterations,
             admissions=admissions,
             occupancy_mean=(occupancy_time / busy_time
@@ -699,13 +699,24 @@ def run_continuous_fleet(estimator: "LiaEstimator",
             estimator, scheduler_config, telemetry=telemetry)
         return scheduler.run(shard[0], shard[1])
 
+    from repro.serving.vectorized import WorkloadVector
+
     reports = run_sweep(serve, live)
-    served = [record
-              for report in reports for record in report.served]
-    served.sort(key=lambda record: (record.arrival, record.start,
-                                    record.finish))
+    # Shard ``r`` served requests r, r + replicas, ... in that order;
+    # the merge sorts them by (arrival, start, finish), ties kept in
+    # shard order.
+    positions = np.concatenate([
+        np.arange(replica, len(request_list), replicas)
+        for replica in range(len(live))])
+    arrival_column, start_column, finish_column = (
+        np.concatenate([getattr(r, column) for r in reports])
+        for column in ("arrivals", "starts", "finishes"))
+    order = np.lexsort((finish_column, start_column, arrival_column))
     merged = ContinuousServingReport(
-        served,
+        WorkloadVector.from_requests(request_list).subset(
+            positions[order]),
+        arrival_column[order], start_column[order],
+        finish_column[order],
         iterations=sum(r.iterations for r in reports),
         admissions=sum(r.admissions for r in reports),
         occupancy_mean=(

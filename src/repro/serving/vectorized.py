@@ -37,26 +37,24 @@ Around the recursion:
 * batched shape estimation — one ``LiaEstimator.estimate`` per
   *distinct* shape via the deterministic parallel sweep runner, then
   a vectorized gather back onto arrivals.
-* :class:`VectorizedServingReport` — the array-backed report: exact
-  (sorted-array) percentiles below a size threshold, a
-  :class:`~repro.telemetry.metrics.StreamingHistogram` above it, and
-  lazy ``ServedRequest`` materialization for consumers that want the
-  classic view.
+* the engine itself, :func:`run_vectorized`, which returns the same
+  columnar :class:`~repro.serving.simulator.ServingReport` the loop
+  does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, validate_arrivals)
+from repro.serving.simulator import (ServingReport, ServingSimulator,
+                                     emit_report_telemetry,
+                                     validate_arrivals)
 from repro.telemetry.runtime import Telemetry
 
 #: Busy periods longer than this use one ``np.add.accumulate`` each;
@@ -69,11 +67,6 @@ _LONG_SEGMENT = 64
 #: Each refinement strictly extends the provably-correct prefix, and
 #: in practice the first algebraic guess is already the fixed point.
 _MAX_REFINEMENTS = 60
-
-#: Above this many served requests, ``latency_percentile`` answers
-#: from a streaming histogram (~2% relative error) instead of sorting
-#: the latency vector exactly.
-DEFAULT_EXACT_PERCENTILE_LIMIT = 262_144
 
 #: Per-request span emission cap for vectorized runs: the first this
 #: many requests get the same ``server``/``queue`` spans the loop
@@ -376,174 +369,8 @@ def lindley_timeline(arrivals: Sequence[float],
     return starts, finishes
 
 
-# ----------------------------------------------------------------------
-# Array-backed report
-# ----------------------------------------------------------------------
-class VectorizedServingReport:
-    """A :class:`ServingReport` over arrays instead of objects.
-
-    Exposes the same statistics API (``makespan``, ``utilization``,
-    ``throughput_tokens_per_s``, ``mean_queue_delay``,
-    ``latency_percentile``); every scalar folds floats in the same
-    order as the loop report, so the numbers are bit-identical.
-    Percentiles are exact (one lazy ``np.sort``) up to
-    ``exact_percentile_limit`` served requests and answered from a
-    streaming histogram beyond it; ``streaming=True`` forces the
-    histogram, ``streaming=False`` forces the exact sort.
-
-    ``served`` materializes the classic ``ServedRequest`` list on
-    first access — an O(n) object build, intended for small runs and
-    equivalence tests, not the million-request path.
-    """
-
-    #: Subclasses that can legitimately serve zero requests (e.g. a
-    #: degraded run that sheds everything) flip this class attribute.
-    _allow_empty = False
-
-    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
-                 starts: np.ndarray, finishes: np.ndarray,
-                 streaming: Optional[bool] = None,
-                 exact_percentile_limit: int =
-                 DEFAULT_EXACT_PERCENTILE_LIMIT) -> None:
-        if arrivals.size == 0 and not self._allow_empty:
-            raise ConfigurationError("report needs at least one request")
-        if not (arrivals.size == starts.size == finishes.size
-                == workload.n_requests):
-            raise ConfigurationError(
-                "timeline arrays and workload must have equal length")
-        self.workload = workload
-        self.arrivals = arrivals
-        self.starts = starts
-        self.finishes = finishes
-        self._streaming = streaming
-        self.exact_percentile_limit = exact_percentile_limit
-        self._sorted_latencies: Optional[np.ndarray] = None
-        self._histogram = None
-        self._served: Optional[List[ServedRequest]] = None
-        self._makespan: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n_served(self) -> int:
-        return int(self.arrivals.size)
-
-    @property
-    def latencies(self) -> np.ndarray:
-        return self.finishes - self.arrivals
-
-    @property
-    def queue_delays(self) -> np.ndarray:
-        return self.starts - self.arrivals
-
-    @property
-    def service_times(self) -> np.ndarray:
-        return self.finishes - self.starts
-
-    @property
-    def streaming_percentiles(self) -> bool:
-        """Whether ``latency_percentile`` answers from the histogram."""
-        if self._streaming is not None:
-            return self._streaming
-        return self.n_served > self.exact_percentile_limit
-
-    # ------------------------------------------------------------------
-    @property
-    def makespan(self) -> float:
-        if self._makespan is None:
-            self._makespan = float(np.max(self.finishes))
-        return self._makespan
-
-    @property
-    def utilization(self) -> float:
-        # ``np.add.accumulate(...)[-1]`` is the same left fold as the
-        # loop report's ``sum(r.service_time for r in served)``; the
-        # accumulate runs in place on the fresh property array.
-        times = self.service_times
-        busy = float(np.add.accumulate(times, out=times)[-1])
-        return busy / self.makespan if self.makespan else 0.0
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        tokens = self.workload.total_generated_tokens
-        return tokens / self.makespan if self.makespan else 0.0
-
-    @property
-    def mean_queue_delay(self) -> float:
-        delays = self.queue_delays
-        total = float(np.add.accumulate(delays, out=delays)[-1])
-        return total / self.n_served
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank latency percentile (see
-        :meth:`ServingReport.latency_percentile`); exact below the
-        size limit, streaming-histogram estimate above it."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        if self.streaming_percentiles:
-            return float(self._latency_histogram().quantile(fraction))
-        if self._sorted_latencies is None:
-            ordered = self.latencies  # fresh array; sort in place
-            ordered.sort()
-            self._sorted_latencies = ordered
-        ordered = self._sorted_latencies
-        rank = min(ordered.size,
-                   max(1, math.ceil(fraction * ordered.size)))
-        return float(ordered[rank - 1])
-
-    def summary(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
-                ) -> dict:
-        """Every standard statistic in one call.
-
-        Values are the same bits the individual properties return.
-        """
-        result = {
-            "utilization": self.utilization,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "makespan_s": self.makespan,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-        }
-        for fraction in percentiles:
-            result[f"p{round(fraction * 100)}"] = (
-                self.latency_percentile(fraction))
-        return result
-
-    def _latency_histogram(self):
-        if self._histogram is None:
-            from repro.telemetry.metrics import StreamingHistogram
-
-            histogram = StreamingHistogram("serving.latency_s")
-            histogram.observe_array(self.latencies)
-            self._histogram = histogram
-        return self._histogram
-
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> List[ServedRequest]:
-        if self._served is None:
-            shapes = self.workload.shapes
-            self._served = [
-                ServedRequest(request=shapes[code], arrival=arrival,
-                              start=start, finish=finish)
-                for code, arrival, start, finish in zip(
-                    self.workload.codes.tolist(),
-                    self.arrivals.tolist(), self.starts.tolist(),
-                    self.finishes.tolist())]
-        return self._served
-
-    def materialize(self) -> ServingReport:
-        """The classic list-backed report (O(n) objects)."""
-        return ServingReport(list(self.served))
-
-    def iter_timeline(self) -> Iterator[Tuple[InferenceRequest, float,
-                                              float, float]]:
-        """(shape, arrival, start, finish) rows without building
-        ``ServedRequest`` objects."""
-        shapes = self.workload.shapes
-        for code, arrival, start, finish in zip(
-                self.workload.codes.tolist(), self.arrivals.tolist(),
-                self.starts.tolist(), self.finishes.tolist()):
-            yield shapes[code], arrival, start, finish
+#: The old name of the one report, kept importable.
+VectorizedServingReport = ServingReport
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +422,7 @@ def run_vectorized(simulator: ServingSimulator,
                    streaming: Optional[bool] = None,
                    span_cap: int = DEFAULT_SPAN_CAP,
                    extra_labels: Optional[dict] = None
-                   ) -> VectorizedServingReport:
+                   ) -> ServingReport:
     """Serve ``workload`` at ``arrivals`` through the array engine.
 
     Emits the same ``serving.*`` metrics and per-request spans as the
@@ -610,31 +437,11 @@ def run_vectorized(simulator: ServingSimulator,
     telemetry = simulator._active_telemetry()
     services = shape_services(simulator, workload, telemetry)
     starts, finishes = lindley_timeline(trace, services)
-    report = VectorizedServingReport(workload, trace, starts, finishes,
-                                     streaming=streaming)
+    report = ServingReport(workload, trace, starts, finishes,
+                           streaming=streaming)
     if telemetry is not None:
-        from repro.telemetry.bridge import (
-            note_dropped_spans, vectorized_report_to_metrics,
-            vectorized_report_to_spans)
-
-        labels = dict(extra_labels or {})
-        vectorized_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name, **labels)
-        spans, dropped = vectorized_report_to_spans(report,
-                                                    cap=span_cap)
-        for span in spans:
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
-        if dropped:
-            telemetry.metrics.counter(
-                "serving.spans_dropped",
-                system=simulator.estimator.system.name,
-                model=simulator.estimator.spec.name, **labels
-            ).inc(dropped)
-            note_dropped_spans(telemetry, dropped, report.n_served,
-                               component="serving.vectorized",
-                               cap=span_cap)
+        emit_report_telemetry(report, telemetry, simulator.estimator,
+                              span_cap=span_cap,
+                              component="serving.vectorized",
+                              **(extra_labels or {}))
     return report

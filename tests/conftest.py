@@ -55,3 +55,32 @@ def online_request():
 @pytest.fixture
 def offline_request():
     return InferenceRequest(batch_size=64, input_len=256, output_len=32)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The serving engines each run reached, in call order.
+
+    Spies on the entry points ``ServingSimulator.run`` and
+    ``MultiReplicaSimulator.run`` dispatch to, so dispatch tests
+    observe which engine ran instead of inferring it from the report
+    type (every engine returns the same report).
+    """
+    import repro.serving.degradation as degradation
+    import repro.serving.piecewise as piecewise
+    import repro.serving.simulator as simulator
+    import repro.serving.vectorized as vectorized
+
+    calls = []
+    for module, name, label in (
+            (simulator, "fifo_timeline", "loop"),
+            (vectorized, "run_vectorized", "vectorized"),
+            (degradation, "run_degraded", "degraded-loop"),
+            (piecewise, "run_degraded_vectorized", "piecewise")):
+        def spy(*args, _original=getattr(module, name), _label=label,
+                **kwargs):
+            calls.append(_label)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls

@@ -12,8 +12,9 @@ from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.batcher import pack_requests, repack_under_pressure
-from repro.serving.degradation import DegradedServingReport
+from repro.errors import ConfigurationError
 from repro.serving.planner import choose_system
+from repro.serving.replicas import MultiReplicaSimulator
 from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry, activate
 
@@ -39,7 +40,8 @@ def test_idle_scenario_is_bit_identical(simulator):
         REQUESTS, 0.05, seed=3,
         scenario=FaultScenario(name="armed-but-idle", seed=99))
     assert _timeline(base) == _timeline(idle)
-    assert type(idle) is type(base)   # plain report, no degraded shell
+    assert type(idle) is type(base)
+    assert idle.stats is None and idle.scenario is None  # no drop channel
 
 
 def test_windowed_faults_leave_quiet_periods_untouched(simulator):
@@ -53,7 +55,7 @@ def test_windowed_faults_leave_quiet_periods_untouched(simulator):
                            start=window_start, duration=1e6,
                            magnitude=0.25),))
     degraded = simulator.run(REQUESTS, arrivals, scenario=scenario)
-    assert isinstance(degraded, DegradedServingReport)
+    assert degraded.scenario is scenario and degraded.stats is not None
     # Before the window: bit-identical starts and finishes.
     for before, after in zip(_timeline(base)[:4], _timeline(degraded)[:4]):
         assert before == after
@@ -118,6 +120,32 @@ def test_fully_shed_run_is_reportable(simulator):
     assert report.dropped
     assert report.mean_queue_delay >= 0.0
     assert report.makespan >= 0.0
+
+    # An HBM squeeze no batch fits sheds every request: single-server
+    # and fleet reports, on either engine, read zero time statistics,
+    # and a latency percentile is a one-line error, not an IndexError.
+    squeeze = FaultScenario(
+        name="hbm-squeeze", seed=1,
+        events=(FaultEvent(FaultKind.GPU_HBM_PRESSURE, magnitude=0.99),))
+    requests = [InferenceRequest(64, 2048, 64)] * 8
+    arrivals = [float(i) for i in range(8)]
+    fleet = MultiReplicaSimulator(simulator.estimator, 2)
+    for report in (
+            simulator.run(requests, arrivals, scenario=squeeze,
+                          vectorized=False),
+            simulator.run(requests, arrivals, scenario=squeeze,
+                          vectorized=True),
+            fleet.run(requests, arrivals, scenario=squeeze,
+                      vectorized=False),
+            fleet.run(requests, arrivals, scenario=squeeze)):
+        assert report.n_served == 0 and report.n_offered == 8
+        assert report.drop_rate == 1.0
+        assert report.utilization == 0.0
+        assert report.makespan == 0.0
+        assert report.mean_queue_delay == 0.0
+        assert report.throughput_tokens_per_s == 0.0
+        with pytest.raises(ConfigurationError, match="no requests"):
+            report.latency_percentile(0.95)
 
 
 # ----------------------------------------------------------------------

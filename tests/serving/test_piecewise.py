@@ -24,11 +24,11 @@ from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.models.workload import InferenceRequest
-from repro.serving import (DegradedScaleOutReport, DegradedServingReport,
-                           MultiReplicaSimulator, ServingSimulator,
-                           VectorizedDegradedReport, WorkloadVector,
-                           arrivals_poisson, lindley_timeline,
-                           run_degraded, run_degraded_vectorized)
+from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
+                           ServingReport, ServingSimulator,
+                           WorkloadVector, arrivals_poisson,
+                           lindley_timeline, run_degraded,
+                           run_degraded_vectorized)
 from repro.serving.degradation import DegradationController
 from repro.serving.piecewise import _apply_stall_ops, _stall_outcome
 from repro.telemetry.runtime import Telemetry, activate
@@ -62,13 +62,12 @@ def _run_both(simulator, workload, arrivals, scenario):
 
 def _assert_parity(loop, vec):
     """Every bit-comparable surface of the two reports."""
-    assert isinstance(loop, DegradedServingReport)
-    assert isinstance(vec, VectorizedDegradedReport)
-    assert vec.arrivals.tolist() == [r.arrival for r in loop.served]
-    assert vec.starts.tolist() == [r.start for r in loop.served]
-    assert vec.finishes.tolist() == [r.finish for r in loop.served]
-    assert vec.served_index.tolist() == list(loop.served_index)
-    assert vec.dropped_index.tolist() == list(loop.dropped_index)
+    assert type(loop) is type(vec) is ServingReport
+    assert np.array_equal(vec.arrivals, loop.arrivals)
+    assert np.array_equal(vec.starts, loop.starts)
+    assert np.array_equal(vec.finishes, loop.finishes)
+    assert np.array_equal(vec.served_index, loop.served_index)
+    assert np.array_equal(vec.dropped_index, loop.dropped_index)
     assert [d.arrival for d in vec.dropped] == \
         [d.arrival for d in loop.dropped]
     assert [d.reason for d in vec.dropped] == \
@@ -404,12 +403,11 @@ def test_depth_probe_bisect_matches_linear_scan(seed):
 # ----------------------------------------------------------------------
 def _run_admission_kernel(simulator, kernel, workload, arrivals,
                           scenario, idx=None, telemetry=None):
-    from repro.serving.piecewise import _warm_base_plans
     from repro.serving.simulator import validate_arrivals
 
     controller = DegradationController(_fresh(simulator), scenario,
                                        telemetry)
-    _warm_base_plans(controller, workload)
+    controller.warm_base_plans(workload.shapes)
     trace = validate_arrivals(arrivals)
     out = kernel(controller, workload, trace,
                  None if idx is None
@@ -514,63 +512,70 @@ def test_admission_piecewise_honors_global_indices(simulator):
 # ----------------------------------------------------------------------
 # Satellite 3: run() dispatch honors vectorized=/streaming=
 # ----------------------------------------------------------------------
-def test_run_vectorized_true_is_honored_under_scenario(simulator):
+def test_run_vectorized_true_is_honored_under_scenario(simulator,
+                                                       engine_calls):
     scenario = get_scenario("gpu-pressure")
     workload = _workload(50, seed=1)
     arrivals = arrivals_poisson(50, 2.0, seed=1)
     vec = _fresh(simulator).run(workload.to_requests(), arrivals,
                                 scenario=scenario, vectorized=True)
-    assert isinstance(vec, VectorizedDegradedReport)
     loop = _fresh(simulator).run(workload.to_requests(), arrivals,
                                  scenario=scenario, vectorized=False)
-    assert isinstance(loop, DegradedServingReport)
+    assert engine_calls == ["piecewise", "degraded-loop"]
     _assert_parity(loop, vec)
 
 
-def test_run_columnar_workload_takes_piecewise_engine(simulator):
+def test_run_columnar_workload_takes_piecewise_engine(simulator,
+                                                      engine_calls):
     scenario = get_scenario("cxl-contention")
     workload = _workload(50, seed=2)
     arrivals = arrivals_poisson(50, 2.0, seed=2)
-    report = _fresh(simulator).run(workload, arrivals,
-                                   scenario=scenario)
-    assert isinstance(report, VectorizedDegradedReport)
+    _fresh(simulator).run(workload, arrivals, scenario=scenario)
+    assert engine_calls == ["piecewise"]
 
 
-def test_run_auto_vectorize_threshold_applies_to_degraded(simulator):
+def test_run_auto_vectorize_threshold_applies_to_degraded(simulator,
+                                                          engine_calls):
     scenario = get_scenario("pcie-downshift")
     sim = _fresh(simulator)
     sim.AUTO_VECTORIZE_MIN_REQUESTS = 8
     workload = _workload(10, seed=3)
     arrivals = arrivals_poisson(10, 2.0, seed=3)
-    over = sim.run(workload.to_requests(), arrivals, scenario=scenario)
-    assert isinstance(over, VectorizedDegradedReport)
-    under = sim.run(workload.to_requests()[:4], arrivals[:4],
-                    scenario=scenario)
-    assert isinstance(under, DegradedServingReport)
-    assert not isinstance(under, VectorizedDegradedReport)
+    sim.run(workload.to_requests(), arrivals, scenario=scenario)
+    assert engine_calls == ["piecewise"]
+    sim.run(workload.to_requests()[:4], arrivals[:4], scenario=scenario)
+    assert engine_calls == ["piecewise", "degraded-loop"]
 
 
-def test_run_streaming_with_degraded_loop_raises(simulator):
+def test_run_streaming_is_honored_by_degraded_loop(simulator,
+                                                   engine_calls):
     scenario = get_scenario("pcie-downshift")
     workload = _workload(10, seed=4)
     arrivals = arrivals_poisson(10, 2.0, seed=4)
-    with pytest.raises(ConfigurationError, match="streaming"):
-        _fresh(simulator).run(workload.to_requests(), arrivals,
-                              scenario=scenario, vectorized=False,
-                              streaming=True)
-    # streaming works fine on the piecewise engine.
-    report = _fresh(simulator).run(workload.to_requests(), arrivals,
-                                   scenario=scenario, vectorized=True,
-                                   streaming=False)
-    assert isinstance(report, VectorizedDegradedReport)
+    reports = {
+        (vectorized, streaming): _fresh(simulator).run(
+            workload.to_requests(), arrivals, scenario=scenario,
+            vectorized=vectorized, streaming=streaming)
+        for vectorized in (False, True)
+        for streaming in (None, False, True)}
+    assert engine_calls == ["degraded-loop"] * 3 + ["piecewise"] * 3
+    for vectorized in (False, True):
+        # Below the size limit the default is exact on both engines.
+        assert not reports[vectorized, None].streaming_percentiles
+        assert not reports[vectorized, False].streaming_percentiles
+        assert reports[vectorized, True].streaming_percentiles
+    for streaming in (None, False, True):
+        loop = reports[False, streaming]
+        vec = reports[True, streaming]
+        _assert_parity(loop, vec)
+        assert loop.summary() == vec.summary()
 
 
 # ----------------------------------------------------------------------
 # Multi-replica degraded dispatch
 # ----------------------------------------------------------------------
 def _assert_fleet_parity(loop_fleet, vec_fleet):
-    assert isinstance(loop_fleet, DegradedScaleOutReport)
-    assert isinstance(vec_fleet, DegradedScaleOutReport)
+    assert type(loop_fleet) is type(vec_fleet) is ScaleOutReport
     assert np.array_equal(loop_fleet.merged.starts,
                           vec_fleet.merged.starts)
     assert np.array_equal(loop_fleet.merged.finishes,
@@ -628,11 +633,15 @@ def test_fleet_degraded_error_paths(simulator):
     with pytest.raises(ConfigurationError, match="round-robin"):
         least.run(workload, arrivals, scenario=scenario)
     fleet = MultiReplicaSimulator(simulator.estimator, 2)
-    with pytest.raises(ConfigurationError, match="streaming"):
-        fleet.run(workload, arrivals, scenario=scenario,
-                  vectorized=False, streaming=True)
     with pytest.raises(ConfigurationError):
         fleet.run(workload, arrivals, vectorized=False)
+    # streaming= is honored by the per-replica loop, not rejected.
+    for vectorized in (False, True):
+        streamed = fleet.run(workload, arrivals, scenario=scenario,
+                             vectorized=vectorized, streaming=True)
+        assert streamed.merged.streaming_percentiles
+        assert all(sub.streaming_percentiles
+                   for sub in streamed.per_replica)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
-from repro.serving import (ServingSimulator, VectorizedServingReport,
+from repro.serving import (ServingReport, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
                            lindley_timeline, validate_arrivals)
 from repro.telemetry import Telemetry, activate
@@ -66,10 +66,10 @@ def test_vectorized_bit_identical_to_loop(simulator, mix, n_requests,
         vec = _fresh_simulator(simulator).run(
             workload, arrivals, vectorized=True, streaming=False)
 
-    assert isinstance(vec, VectorizedServingReport)
+    assert type(vec) is type(loop) is ServingReport
     # Timelines: every start and finish, to the last bit.
-    assert vec.starts.tolist() == [r.start for r in loop.served]
-    assert vec.finishes.tolist() == [r.finish for r in loop.served]
+    assert np.array_equal(vec.starts, loop.starts)
+    assert np.array_equal(vec.finishes, loop.finishes)
     # Statistics: the exact floats the loop report computes.
     for fraction in (0.25, 0.5, 0.95, 0.99, 1.0):
         assert (vec.latency_percentile(fraction)
@@ -162,19 +162,19 @@ def test_span_cap_truncation_is_loud(simulator):
         component="serving.vectorized") == 42.0
 
 
-def test_auto_vectorize_dispatch(simulator):
+def test_auto_vectorize_dispatch(simulator, engine_calls):
     n = ServingSimulator.AUTO_VECTORIZE_MIN_REQUESTS
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], n,
                                          seed=0)
     arrivals = arrivals_poisson(n, 5.0, seed=0)
-    auto = simulator.run(workload.to_requests(), arrivals)
-    assert isinstance(auto, VectorizedServingReport)
-    forced = simulator.run(workload.to_requests()[:4], arrivals[:4])
-    assert not isinstance(forced, VectorizedServingReport)
+    simulator.run(workload.to_requests(), arrivals)
+    assert engine_calls == ["vectorized"]
+    simulator.run(workload.to_requests()[:4], arrivals[:4])
+    assert engine_calls[-1] == "loop"
     # A columnar workload always takes the array engine.
     small = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 4, seed=0)
-    assert isinstance(simulator.run(small, arrivals[:4]),
-                      VectorizedServingReport)
+    simulator.run(small, arrivals[:4])
+    assert engine_calls == ["vectorized", "loop", "vectorized"]
 
 
 # ----------------------------------------------------------------------
@@ -363,12 +363,11 @@ def test_summary_matches_individual_statistics(simulator):
             == report.throughput_tokens_per_s)
 
 
-def test_materialize_round_trip(simulator):
+def test_served_view_round_trip(simulator):
     report = _vector_report(simulator, 10)
-    classic = report.materialize()
-    assert [r.start for r in classic.served] == report.starts.tolist()
-    assert classic.latency_percentile(0.5) == pytest.approx(
-        report.latency_percentile(0.5))
+    served = report.served
+    assert [r.start for r in served] == report.starts.tolist()
+    assert [r.latency for r in served] == report.latencies.tolist()
     rows = list(report.iter_timeline())
     assert len(rows) == 10
     assert rows[0][0] == report.workload.request_at(0)

@@ -357,6 +357,18 @@ def test_serve_streaming_percentiles(capsys):
     assert "(streaming percentiles)" in capsys.readouterr().out
 
 
+def test_serve_reports_the_percentile_mode_it_used(capsys, tmp_path):
+    """Above the exact-percentile limit the report streams its
+    percentiles even without --streaming; the output says so."""
+    import json
+
+    path = tmp_path / "serve.json"
+    assert main(["serve", "--num-requests", "300000",
+                 "--json", str(path)]) == 0
+    assert "(streaming percentiles)" in capsys.readouterr().out
+    assert json.loads(path.read_text())["streaming"] is True
+
+
 def test_serve_bad_shape_is_clean_error(capsys):
     assert main(["serve", "--shape", "1x128x16"]) == 1
     err = capsys.readouterr().err
